@@ -10,7 +10,9 @@ open Omflp_obs
    tightness event each, so it always equals the sum of the four
    [pd.event.*] counters; [pd.facilities_opened] counts confirmed
    openings only (trace [Opened_small] events of a request that ended in
-   a large facility are discarded tentatives). *)
+   a large facility are discarded tentatives). [pd.site_scans] counts the
+   rank-1/rank-3 site scans the event loop actually runs (the rest are
+   pruned by their lower bound, see [step]). *)
 let m_requests = Metrics.counter "pd.requests"
 
 let m_loop_iters = Metrics.counter "pd.loop_iters"
@@ -26,6 +28,8 @@ let m_open_large = Metrics.counter "pd.event.open_large"
 let m_facilities_opened = Metrics.counter "pd.facilities_opened"
 
 let m_cache_updates = Metrics.counter "pd.cache_updates"
+
+let m_site_scans = Metrics.counter "pd.site_scans"
 
 type dual_record = {
   site : int;
@@ -55,6 +59,8 @@ let[@inline] pos x = if x > 0.0 then x else 0.0
    [j*s .. j*s + s - 1] of [p_duals]/[p_caps] ([caps] holds, per demanded
    commodity, the value min{a_je, d(F(e), j)} currently accounted in the
    incremental bid caches; [cap4] the min{Σ a_je, d(F̂, j)} analogue).
+   [p_capmax.(j)] = max(cap4, every cap of row j) is the opening walk's
+   skip bound; it is derived from the caps, so snapshots do not carry it.
    Every history walk runs newest-first ([for j = n_past-1 downto 0]) to
    preserve the float summation order of the previous cons-list
    representation, which the golden decision digests pin. *)
@@ -71,6 +77,7 @@ type t = {
   mutable p_cap4 : float array;
   mutable p_duals : float array; (* flat n_past x s *)
   mutable p_caps : float array; (* flat n_past x s *)
+  mutable p_capmax : float array;
   mutable trace_rev : fired list list;
   mutable n_requests : int;
   (* Incremental mode: bid sums are maintained across arrivals instead of
@@ -94,7 +101,11 @@ type t = {
      written directly into their [p_duals]/[p_caps] rows, so a step
      allocates nothing on the event path. [scratch_fb] carries floats
      across the [consider] call boundary unboxed: slot 0 the candidate
-     delta, slot 1 the best delta, slot 2 the running dual sum. *)
+     delta, slot 1 the best delta, slot 2 the running dual sum, slot 3
+     the smallest open-large target. [scratch_best] holds the rest of the
+     best event: has-best flag (0/1), rank, commodity position, site;
+     [scratch_tmin.(i)] the smallest open-small target of the request's
+     i-th commodity. *)
   f3 : float array option array;
   f4 : float array;
   b3_scratch : float array;
@@ -104,6 +115,8 @@ type t = {
   scratch_serving_id : int array; (* facility id (1) or temp site (2) *)
   scratch_unserved : int array;
   scratch_fb : float array;
+  scratch_best : int array;
+  scratch_tmin : float array;
 }
 
 let name = "PD-OMFLP"
@@ -126,6 +139,7 @@ let create_mode ~incremental env =
     p_cap4 = [||];
     p_duals = [||];
     p_caps = [||];
+    p_capmax = [||];
     trace_rev = [];
     n_requests = 0;
     incremental;
@@ -141,7 +155,9 @@ let create_mode ~incremental env =
     scratch_serving_kind = Array.make n_commodities 0;
     scratch_serving_id = Array.make n_commodities (-1);
     scratch_unserved = Array.make n_commodities 0;
-    scratch_fb = Array.make 3 0.0;
+    scratch_fb = Array.make 4 0.0;
+    scratch_best = Array.make 4 0;
+    scratch_tmin = Array.make n_commodities 0.0;
   }
 
 let create ?seed:_ env = create_mode ~incremental:false env
@@ -172,6 +188,7 @@ let ensure_past_capacity t =
     t.p_demand <- dem;
     t.p_dual_sum <- grow_float t.p_dual_sum cap ncap;
     t.p_cap4 <- grow_float t.p_cap4 cap ncap;
+    t.p_capmax <- grow_float t.p_capmax cap ncap;
     t.p_duals <- grow_float t.p_duals (cap * t.s) (ncap * t.s);
     t.p_caps <- grow_float t.p_caps (cap * t.s) (ncap * t.s)
   end
@@ -180,7 +197,10 @@ let ensure_past_capacity t =
    can only shrink past caps — min{a, d(F(e), j)} becomes
    min{old cap, d(j, fs)} — so each affected (request, commodity) adjusts
    the caches by the difference of its contribution. The walk is
-   newest-first, matching the old cons-list order. *)
+   newest-first, matching the old cons-list order. A request with
+   d(j, fs) >= p_capmax.(j) has no cap above d(j, fs), so nothing of it
+   can shrink and its demand set is not visited; the bound is refreshed
+   (to the new maximum) whenever a request is visited. *)
 let note_facility_opened t ~fs ~offered =
   if t.incremental then begin
     let n_sites = t.n_sites in
@@ -192,31 +212,39 @@ let note_facility_opened t ~fs ~offered =
          calls used. *)
       let row_j = Finite_metric.row t.metric t.p_site.(j) in
       let d_jf = row_j.(fs) in
-      let cbase = j * t.s in
-      Cset.iter
-        (fun e ->
-          if Cset.mem offered e && d_jf < t.p_caps.(cbase + e) then begin
-            let old_cap = t.p_caps.(cbase + e) in
-            let bb = e * n_sites in
-            for m = 0 to n_sites - 1 do
-              let d = row_j.(m) in
-              b3.(bb + m) <-
-                b3.(bb + m) +. pos (d_jf -. d)
-                -. pos (old_cap -. d)
-            done;
-            Metrics.add m_cache_updates n_sites;
-            t.p_caps.(cbase + e) <- d_jf
-          end)
-        t.p_demand.(j);
-      if offers_all && d_jf < t.p_cap4.(j) then begin
-        let old_cap = t.p_cap4.(j) in
-        for m = 0 to n_sites - 1 do
-          let d = row_j.(m) in
-          b4.(m) <-
-            b4.(m) +. pos (d_jf -. d) -. pos (old_cap -. d)
-        done;
-        Metrics.add m_cache_updates n_sites;
-        t.p_cap4.(j) <- d_jf
+      let capmax = t.p_capmax in
+      if d_jf < capmax.(j) then begin
+        let cbase = j * t.s in
+        (* Caps are >= 0, so 0 is the neutral start of the new maximum. *)
+        capmax.(j) <- 0.0;
+        Cset.iter
+          (fun e ->
+            if Cset.mem offered e && d_jf < t.p_caps.(cbase + e) then begin
+              let old_cap = t.p_caps.(cbase + e) in
+              let bb = e * n_sites in
+              for m = 0 to n_sites - 1 do
+                let d = row_j.(m) in
+                b3.(bb + m) <-
+                  b3.(bb + m) +. pos (d_jf -. d)
+                  -. pos (old_cap -. d)
+              done;
+              Metrics.add m_cache_updates n_sites;
+              t.p_caps.(cbase + e) <- d_jf
+            end;
+            if t.p_caps.(cbase + e) > capmax.(j) then
+              capmax.(j) <- t.p_caps.(cbase + e))
+          t.p_demand.(j);
+        if offers_all && d_jf < t.p_cap4.(j) then begin
+          let old_cap = t.p_cap4.(j) in
+          for m = 0 to n_sites - 1 do
+            let d = row_j.(m) in
+            b4.(m) <-
+              b4.(m) +. pos (d_jf -. d) -. pos (old_cap -. d)
+          done;
+          Metrics.add m_cache_updates n_sites;
+          t.p_cap4.(j) <- d_jf
+        end;
+        if t.p_cap4.(j) > capmax.(j) then capmax.(j) <- t.p_cap4.(j)
       end
     done
   end
@@ -225,9 +253,11 @@ let f3_row t e =
   match t.f3.(e) with
   | Some row -> row
   | None ->
-      let row =
-        Array.init t.n_sites (fun m -> Cost_function.singleton_cost t.cost m e)
-      in
+      (* One singleton set for the whole row: [singleton_cost] would
+         allocate one per cell, and [eval] is pure, so the floats are the
+         same. *)
+      let sigma = Cset.singleton ~n_commodities:t.s e in
+      let row = Array.init t.n_sites (fun m -> Cost_function.eval t.cost m sigma) in
       t.f3.(e) <- Some row;
       row
 
@@ -245,6 +275,68 @@ let open_facility t ~site ~kind =
   Metrics.incr m_facilities_opened;
   note_facility_opened t ~fs:site ~offered:fac.Facility.offered;
   fac
+
+(* Offer event (rank, i, m), whose raw delta is in fb.(0), to the best
+   event so far (delta fb.(1), the rest in [best]: has-best flag, rank,
+   commodity position, site). The earliest event wins; ties are resolved
+   by event rank (E1 connect-small = 0, E3 open-small = 1, E2
+   connect-large = 2, E4 open-large = 3 — connections and small
+   facilities, the paper's lines 3–5, before large ones, lines 6–9), then
+   by commodity index, then by site. Deltas within a relative 1e-9 of
+   each other count as tied, so tie-breaking is stable under the
+   float-summation-order differences between the recomputing and
+   incremental bid modes (integer-valued cost functions produce exact
+   (3)-vs-(4) ties all the time). Only ints and arrays cross the call,
+   so the floats stay unboxed. *)
+let consider fb best rank i m =
+  let delta = Float.max fb.(0) 0.0 in
+  if best.(0) = 0 then begin
+    best.(0) <- 1;
+    fb.(1) <- delta;
+    best.(1) <- rank;
+    best.(2) <- i;
+    best.(3) <- m
+  end
+  else begin
+    let bd = fb.(1) in
+    let eps = 1e-9 *. Float.max 1.0 (Float.max delta bd) in
+    if delta < bd -. eps then begin
+      fb.(1) <- delta;
+      best.(1) <- rank;
+      best.(2) <- i;
+      best.(3) <- m
+    end
+    else if delta <= bd +. eps then begin
+      let br = best.(1) and bi = best.(2) and bm = best.(3) in
+      if rank < br || (rank = br && (i < bi || (i = bi && m < bm))) then begin
+        (* Tie: keep the smaller delta as the anchor so chains of
+           near-ties cannot drift. *)
+        fb.(1) <- Float.min delta bd;
+        best.(1) <- rank;
+        best.(2) <- i;
+        best.(3) <- m
+      end
+    end
+  end
+
+(* [improves fb best lb]: would [consider] replace the best event with
+   one of delta [lb] by strict improvement? Within a rank-1 or rank-3
+   site scan a tie never replaces the best (it already has a lower rank,
+   a lower commodity index, or — within the scan — a lower site), and the
+   strict-improvement test is monotone in the delta, so a scan whose
+   smallest delta [lb] fails this test changes nothing. *)
+let[@inline] improves fb best lb =
+  best.(0) = 0
+  ||
+  let bd = fb.(1) in
+  lb < bd -. (1e-9 *. Float.max 1.0 (Float.max lb bd))
+
+(* Event targets (see [step]); the pruning bound and the scans it guards
+   must compute the identical float, so both go through these. *)
+let[@inline] small_target d_rm f3e b3 bb m =
+  d_rm.(m) +. pos (f3e.(m) -. b3.(bb + m))
+
+let[@inline] large_target t d_rm b4 m = d_rm.(m) +. pos (t.f4.(m) -. b4.(m))
 
 let step t (r : Request.t) =
   let n_sites = t.n_sites in
@@ -319,7 +411,38 @@ let step t (r : Request.t) =
       (b3, b4)
     end
   in
+  (* Event targets are fixed for the whole request (the bid sums, the
+     cost tables and d(r, ·) do not move until the loop ends). The
+     open-small target of commodity e at m is d(r,m) + (f3 - B3)+: its own
+     bid is active and tight exactly when a_re reaches it (waiting until
+     then never violates the constraint because B3 <= f holds at every
+     arrival); the open-large target is the (4) analogue. One pass here
+     records each commodity's smallest target in [tmin] and the smallest
+     open-large one in fb.(3). Rounded subtraction and division are
+     monotone, so max(tmin.(i) - a_re, 0) and max((fb.(3) - Σa)/k, 0) are
+     exactly the smallest deltas a site scan would offer [consider], and
+     the loop runs a scan only when that bound [improves] the best
+     event. *)
   let fb = t.scratch_fb in
+  let tmin = t.scratch_tmin in
+  for i = 0 to k_total - 1 do
+    let e = es.(i) in
+    let f3e = f3_row t e in
+    let bb = if inc then e * n_sites else i * n_sites in
+    let mn = ref infinity in
+    for m = 0 to n_sites - 1 do
+      let target = small_target d_rm f3e b3_all bb m in
+      if target < !mn then mn := target
+    done;
+    tmin.(i) <- !mn
+  done;
+  let mn = ref infinity in
+  for m = 0 to n_sites - 1 do
+    let target = large_target t d_rm b4 m in
+    if target < !mn then mn := target
+  done;
+  fb.(3) <- !mn;
+  let best = t.scratch_best in
   fb.(2) <- 0.0 (* Σ a_re so far *);
   let large_kind = ref 0 (* 0 none / 1 existing / 2 new *) in
   let large_tgt = ref (-1) in
@@ -349,51 +472,9 @@ let step t (r : Request.t) =
     else begin
       Metrics.incr m_loop_iters;
       let k = float_of_int !n_unserved in
-      (* Collect the earliest event; ties resolved by event rank
-         (E1 connect-small = 0, E3 open-small = 1, E2 connect-large = 2,
-         E4 open-large = 3 — connections and small facilities, the
-         paper's lines 3–5, before large ones, lines 6–9), then by
-         commodity index, then by site. Deltas within a relative 1e-9 of
-         each other count as tied, so tie-breaking is stable under the
-         float-summation-order differences between the recomputing and
-         incremental bid modes (integer-valued cost functions produce
-         exact (3)-vs-(4) ties all the time). The candidate delta enters
-         [consider] through fb.(0) and the best lives in fb.(1): int-only
-         arguments keep the floats unboxed across the call. *)
-      let has_best = ref false in
-      let best_rank = ref 0 and best_i = ref 0 and best_m = ref 0 in
-      let consider rank i m =
-        let delta = Float.max fb.(0) 0.0 in
-        if not !has_best then begin
-          has_best := true;
-          fb.(1) <- delta;
-          best_rank := rank;
-          best_i := i;
-          best_m := m
-        end
-        else begin
-          let bd = fb.(1) in
-          let eps = 1e-9 *. Float.max 1.0 (Float.max delta bd) in
-          if delta < bd -. eps then begin
-            fb.(1) <- delta;
-            best_rank := rank;
-            best_i := i;
-            best_m := m
-          end
-          else if delta <= bd +. eps then begin
-            let br = !best_rank and bi = !best_i and bm = !best_m in
-            if rank < br || (rank = br && (i < bi || (i = bi && m < bm)))
-            then begin
-              (* Tie: keep the smaller delta as the anchor so chains of
-                 near-ties cannot drift. *)
-              fb.(1) <- Float.min delta bd;
-              best_rank := rank;
-              best_i := i;
-              best_m := m
-            end
-          end
-        end
-      in
+      (* Collect the earliest event (see [consider]); the candidate delta
+         enters through fb.(0). *)
+      best.(0) <- 0;
       for u = 0 to !n_unserved - 1 do
         let i = unserved.(u) in
         let e = es.(i) in
@@ -401,40 +482,40 @@ let step t (r : Request.t) =
         let d_fe = nd.((e * n_sites) + r.site) in
         if d_fe < infinity then begin
           fb.(0) <- d_fe -. ae;
-          consider 0 i 0
+          consider fb best 0 i 0
         end;
-        let f3e = f3_row t e in
-        let bb = if inc then e * n_sites else i * n_sites in
-        for m = 0 to n_sites - 1 do
-          (* Tight when (a_re - d(m,r))+ + B3 = f: the own bid must be
-             active, i.e. a_re reaches d(m,r) + (f - B3)+. Waiting until
-             then never violates the constraint because B3 <= f holds at
-             every arrival. *)
-          let target = d_rm.(m) +. pos (f3e.(m) -. b3_all.(bb + m)) in
-          fb.(0) <- target -. ae;
-          consider 1 i m
-        done
+        if improves fb best (Float.max (tmin.(i) -. ae) 0.0) then begin
+          Metrics.incr m_site_scans;
+          let f3e = f3_row t e in
+          let bb = if inc then e * n_sites else i * n_sites in
+          for m = 0 to n_sites - 1 do
+            fb.(0) <- small_target d_rm f3e b3_all bb m -. ae;
+            consider fb best 1 i m
+          done
+        end
       done;
       let d_large = ndl.(r.site) in
       if d_large < infinity then begin
         fb.(0) <- (d_large -. fb.(2)) /. k;
-        consider 2 0 0
+        consider fb best 2 0 0
       end;
-      for m = 0 to n_sites - 1 do
-        let target = d_rm.(m) +. pos (t.f4.(m) -. b4.(m)) in
-        fb.(0) <- (target -. fb.(2)) /. k;
-        consider 3 0 m
-      done;
-      if not !has_best then assert false (* E3 events always exist *);
+      if improves fb best (Float.max ((fb.(3) -. fb.(2)) /. k) 0.0) then begin
+        Metrics.incr m_site_scans;
+        for m = 0 to n_sites - 1 do
+          fb.(0) <- (large_target t d_rm b4 m -. fb.(2)) /. k;
+          consider fb best 3 0 m
+        done
+      end;
+      if best.(0) = 0 then assert false (* E3 events always exist *);
       let delta = fb.(1) in
       for u = 0 to !n_unserved - 1 do
         let e = es.(unserved.(u)) in
         duals.(abase + e) <- duals.(abase + e) +. delta
       done;
       fb.(2) <- fb.(2) +. (k *. delta);
-      (match !best_rank with
+      (match best.(1) with
       | 0 ->
-          let e = es.(!best_i) in
+          let e = es.(best.(2)) in
           let fid = nid.((e * n_sites) + r.site) in
           sk.(e) <- 1;
           sid.(e) <- fid;
@@ -444,8 +525,8 @@ let step t (r : Request.t) =
               { commodity = e; facility = fid; dual = duals.(abase + e) }
             :: !fired_rev
       | 1 ->
-          let e = es.(!best_i) in
-          let m = !best_m in
+          let e = es.(best.(2)) in
+          let m = best.(3) in
           sk.(e) <- 2;
           sid.(e) <- m;
           Metrics.incr m_open_small;
@@ -462,7 +543,7 @@ let step t (r : Request.t) =
             :: !fired_rev;
           finished := true
       | _ ->
-          let m = !best_m in
+          let m = best.(3) in
           large_kind := 2;
           large_tgt := m;
           Metrics.incr m_open_large;
@@ -503,26 +584,30 @@ let step t (r : Request.t) =
   Facility_store.record_service t.store ~request_site:r.site service;
   (* Record the request's bid caps (capped by the post-opening facility
      distances — the index rows already reflect this step's openings); in
-     incremental mode also add its contributions to the caches. *)
+     incremental mode also add its contributions to the caches. [es]
+     lists the demand in ascending order, like [Cset.iter]. *)
   let caps = t.p_caps in
-  Cset.iter
-    (fun e ->
-      caps.(abase + e) <-
-        Float.min duals.(abase + e) nd.((e * n_sites) + r.site))
-    r.demand;
   let cap4 = Float.min fb.(2) ndl.(r.site) in
+  let capmax = t.p_capmax in
+  capmax.(t.n_past) <- cap4;
+  for i = 0 to k_total - 1 do
+    let e = es.(i) in
+    let cap_e = Float.min duals.(abase + e) nd.((e * n_sites) + r.site) in
+    caps.(abase + e) <- cap_e;
+    if cap_e > capmax.(t.n_past) then capmax.(t.n_past) <- cap_e
+  done;
   if inc then begin
     (* d_rm is r's metric row, so d_rm.(m) = d(r, m) as before. *)
-    Cset.iter
-      (fun e ->
-        let bb = e * n_sites in
-        let cap_e = caps.(abase + e) in
-        for m = 0 to n_sites - 1 do
-          t.b3_cache.(bb + m) <-
-            t.b3_cache.(bb + m) +. pos (cap_e -. d_rm.(m))
-        done;
-        Metrics.add m_cache_updates n_sites)
-      r.demand;
+    for i = 0 to k_total - 1 do
+      let e = es.(i) in
+      let bb = e * n_sites in
+      let cap_e = caps.(abase + e) in
+      for m = 0 to n_sites - 1 do
+        t.b3_cache.(bb + m) <-
+          t.b3_cache.(bb + m) +. pos (cap_e -. d_rm.(m))
+      done;
+      Metrics.add m_cache_updates n_sites
+    done;
     for m = 0 to n_sites - 1 do
       t.b4_cache.(m) <- t.b4_cache.(m) +. pos (cap4 -. d_rm.(m))
     done;
@@ -720,6 +805,15 @@ let restore_mode ~incremental env blob =
       t.p_cap4 <- (if n = 0 then Array.make 1 0.0 else cap4);
       t.p_duals <- (if n = 0 then Array.make t.s 0.0 else duals);
       t.p_caps <- (if n = 0 then Array.make t.s 0.0 else caps);
+      (* The opening walk's skip bound is derived from the caps. *)
+      t.p_capmax <- Array.make (max n 1) 0.0;
+      for j = 0 to n - 1 do
+        let mx = ref t.p_cap4.(j) in
+        for e = 0 to t.s - 1 do
+          mx := Float.max !mx t.p_caps.((j * t.s) + e)
+        done;
+        t.p_capmax.(j) <- !mx
+      done;
       t.trace_rev <- trace_rev;
       t.n_requests <- n_requests;
       { t with store = Facility_store.of_persisted env z_store })

@@ -7,7 +7,10 @@
      the open-facility list (the code it replaced);
    - Simulator.run_many equals per-algorithm Simulator.run;
    - the golden run digests (test/golden/run_digests.txt) still hold:
-     byte-identical decisions for every registered algorithm. *)
+     byte-identical decisions for every registered algorithm;
+   - PD-OMFLP's decisions on two large instances, and a snapshot taken
+     mid-stream on one of them, match pins taken before the event loop
+     and the opening walk were pruned. *)
 
 open Omflp_prelude
 open Omflp_metric
@@ -274,6 +277,77 @@ let test_golden_digests () =
       | _ -> Alcotest.failf "malformed golden line %S" line)
     lines
 
+(* ---------- large-instance decision pins ---------- *)
+
+(* The golden scenarios are small, so PD-OMFLP's pruned scans and
+   opening walk are barely exercised there. These two instances are
+   pinned at the scale where the pruning skips most of the work: (a) the
+   serve-heavy benchmark's shape (20x20 clustered sites, |S|=32,
+   power-law x=1, 500 requests) and (b) a tie-heavy one (theorem-2
+   integer costs on a uniform metric, where many events are exactly
+   simultaneous). A pin is the MD5 of [Oracle.run_digest]: every service,
+   facility id and cost as %.17g. *)
+
+let heavy_instance () =
+  Generators.clustered (Splitmix.of_int 0x4ea7) ~clusters:20 ~per_cluster:20
+    ~n_requests:500 ~n_commodities:32 ~side:100.0 ~spread:2.0
+    ~cost:(fun ~n_commodities ~n_sites ->
+      Cost_function.power_law ~n_commodities ~n_sites ~x:1.0)
+
+let tie_instance () =
+  Generators.uniform_metric (Splitmix.of_int 0x71e5) ~n_sites:24 ~d:1.0
+    ~n_requests:400 ~n_commodities:16
+    ~demand:(Demand.Zipf_bundle { zipf_s = 1.0; max_size = 6 })
+    ~cost:Cost_function.theorem2
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let run_md5 run = md5 (Omflp_check.Oracle.run_digest run)
+
+let stream_md5 (module A : Omflp_core.Algo_intf.ALGO) inst =
+  let t = A.create (Instance.env inst) in
+  Array.iter (fun r -> ignore (A.step t r)) inst.Instance.requests;
+  run_md5 (A.run_so_far t)
+
+let pd_fast = (module Omflp_core.Pd_omflp_fast : Omflp_core.Algo_intf.ALGO)
+let pd = (module Omflp_core.Pd_omflp : Omflp_core.Algo_intf.ALGO)
+
+let test_large_pins () =
+  let heavy = heavy_instance () and ties = tie_instance () in
+  List.iter
+    (fun (label, algo, inst, expected) ->
+      Alcotest.(check string) label expected (stream_md5 algo inst))
+    [
+      ("serve-heavy shape, PD-OMFLP-FAST", pd_fast, heavy,
+       "c31ccaa190d616c89e89fa2a082b3c1a");
+      ("serve-heavy shape, PD-OMFLP", pd, heavy,
+       "d87310b7d2a5e92841387c4b0d0936c6");
+      ("theorem-2 ties, PD-OMFLP-FAST", pd_fast, ties,
+       "f616bb9653fb4a36068fe0bfe912ff76");
+      ("theorem-2 ties, PD-OMFLP", pd, ties,
+       "c7c56335b645059f928bd12215d5e8b3");
+    ]
+
+(* Snapshot at request 250 of the serve-heavy-shaped stream, restore,
+   finish: the run equals the uninterrupted pin, and the snapshot bytes
+   equal the pre-pruning ones — the opening walk's skip bound is derived
+   state and stays out of the blob. *)
+let test_large_resume () =
+  let inst = heavy_instance () in
+  let (module A : Omflp_core.Algo_intf.ALGO) = pd_fast in
+  let env = Instance.env inst and cut = 250 in
+  let t = A.create env in
+  Array.iteri (fun i r -> if i < cut then ignore (A.step t r))
+    inst.Instance.requests;
+  let blob = A.snapshot t in
+  Alcotest.(check string) "snapshot bytes" "bb8c8302a2debb401871f54cdc58a216"
+    (md5 blob);
+  let t' = A.restore env blob in
+  Array.iteri (fun i r -> if i >= cut then ignore (A.step t' r))
+    inst.Instance.requests;
+  Alcotest.(check string) "resumed = uninterrupted"
+    "c31ccaa190d616c89e89fa2a082b3c1a" (run_md5 (A.run_so_far t'))
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -295,5 +369,11 @@ let () =
       ( "simulator",
         [ Alcotest.test_case "run_many = run" `Quick test_run_many_equals_run ] );
       ( "golden",
-        [ Alcotest.test_case "run digests pinned" `Slow test_golden_digests ] );
+        [
+          Alcotest.test_case "run digests pinned" `Slow test_golden_digests;
+          Alcotest.test_case "large-instance decisions pinned" `Quick
+            test_large_pins;
+          Alcotest.test_case "large-instance resume pinned" `Quick
+            test_large_resume;
+        ] );
     ]

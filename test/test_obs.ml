@@ -423,6 +423,39 @@ let test_cache_exact_under_metrics () =
       check_bool "cache updates counted" true
         (Metrics.value (Metrics.counter "pd.cache_updates") > 0))
 
+(* Scan pruning is work-only: on a fixed run the loop iterations and
+   cache updates are the values pinned before the site scans were pruned,
+   and [pd.site_scans] never exceeds one scan per unserved commodity plus
+   the large scan per iteration. *)
+let scan_counters create ~cache_updates =
+  let inst = clustered_instance ~seed:0x5c4 ~n_requests:40 in
+  let k =
+    Array.fold_left
+      (fun acc (r : Request.t) ->
+        max acc (Omflp_commodity.Cset.cardinal r.Request.demand))
+      0 inst.Instance.requests
+  in
+  with_metrics (fun () ->
+      let t = create (Instance.env inst) in
+      Array.iter (fun r -> ignore (Pd_omflp.step t r)) inst.Instance.requests;
+      let loop_iters = Metrics.value (Metrics.counter "pd.loop_iters") in
+      let scans = Metrics.value (Metrics.counter "pd.site_scans") in
+      check_int "loop_iters pinned" 79 loop_iters;
+      check_int "cache_updates pinned" cache_updates
+        (Metrics.value (Metrics.counter "pd.cache_updates"));
+      check_bool "some scans run" true (scans > 0);
+      check_bool
+        (Printf.sprintf "site_scans %d <= (k+1) loop_iters = %d" scans
+           ((k + 1) * loop_iters))
+        true
+        (scans <= (k + 1) * loop_iters))
+
+let test_pd_scan_counters () =
+  scan_counters (fun env -> Pd_omflp.create env) ~cache_updates:0
+
+let test_pd_fast_scan_counters () =
+  scan_counters (fun env -> Pd_omflp.create_incremental env) ~cache_updates:1920
+
 let test_disabled_runs_unchanged () =
   (* Instrumentation off: the run is identical to an instrumented one
      (counters never feed back into decisions). *)
@@ -484,6 +517,9 @@ let () =
             test_pd_fast_counters_match_trace;
           Alcotest.test_case "cache exact under metrics" `Quick
             test_cache_exact_under_metrics;
+          Alcotest.test_case "PD scan counters" `Quick test_pd_scan_counters;
+          Alcotest.test_case "PD-FAST scan counters" `Quick
+            test_pd_fast_scan_counters;
           Alcotest.test_case "disabled run unchanged" `Quick
             test_disabled_runs_unchanged;
         ] );
