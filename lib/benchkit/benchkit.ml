@@ -61,8 +61,8 @@ let bench_instance ~n_sites ~n_requests ~n_commodities =
 
 let full_run (module A : Omflp_core.Algo_intf.ALGO) inst () =
   let t = A.create ~seed:17 (Instance.env inst) in
-  ignore (A.step_batch t inst.Instance.requests);
-  Omflp_core.Run.total_cost (A.run_so_far t)
+  Array.iter (fun r -> ignore (A.step t r)) inst.Instance.requests;
+  Omflp_core.Run.total_cost (Omflp_core.Algo_intf.run_so_far (module A) t)
 
 (* Serve-layer throughput: the drain loop's in-process shape — one
    session, no checkpoint IO, requests stepped in drain-sized batches

@@ -139,7 +139,7 @@ let check_instance ?algos ?(seed = 0) (inst : Instance.t) =
              Array.iteri
                (fun i r -> if i >= cut then ignore (A.step t' r))
                inst.Instance.requests;
-             A.run_so_far t'
+             Algo_intf.run_so_far (module A) t'
            with
           | resumed ->
               if run_digest resumed <> run_digest run then
@@ -179,7 +179,7 @@ let check_instance ?algos ?(seed = 0) (inst : Instance.t) =
          ~n_requests:(Instance.n_requests inst)
      in
      let dual_lb = Dual_checker.dual_lower_bound t in
-     let cost = Run.total_cost (Pd_omflp.run_so_far t) in
+     let cost = Run.total_cost (Algo_intf.run_so_far (module Pd_omflp) t) in
      checked ();
      if dual_lb > 0.0 && not (Numerics.approx_le ~tol cost (3.0 /. gamma *. dual_lb))
      then

@@ -41,7 +41,7 @@ let zoom_line ?(batch_base = 2) ?(facility_cost = 1.0) ?(n_commodities = 1)
     done;
     (* Zoom into the half whose midpoint is farther from every facility
        the algorithm has opened so far. *)
-    let run = A.run_so_far t in
+    let run = Algo_intf.run_so_far (module A) t in
     let dist_to_facilities site =
       List.fold_left
         (fun acc (f : Facility.t) ->
@@ -58,7 +58,7 @@ let zoom_line ?(batch_base = 2) ?(facility_cost = 1.0) ?(n_commodities = 1)
   for _ = 1 to batch_base * (1 lsl levels) do
     send final
   done;
-  let run = A.run_so_far t in
+  let run = Algo_intf.run_so_far (module A) t in
   let realized =
     Instance.make ~name:(Printf.sprintf "zoom-line(levels=%d)" levels) ~metric
       ~cost

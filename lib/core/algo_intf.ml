@@ -28,19 +28,6 @@ module type ALGO = sig
       as needed) and returns the service decision. *)
   val step : t -> Omflp_instance.Request.t -> Service.t
 
-  (** [step_batch t requests] serves a block of requests in array order
-      and returns one decision per request, positionally. The contract is
-      strict sequential equivalence: decisions, facility ids, cost
-      floats, metrics, and traces are exactly those of folding {!step}
-      over the array — implementations may only amortize work that is a
-      pure function of the inputs (metric row materialization, bounds
-      checks), never reorder or fuse the serving itself. The default
-      implementation is {!batch_of_step}. *)
-  val step_batch : t -> Omflp_instance.Request.t array -> Service.t array
-
-  (** [run_so_far t] snapshots facilities, services, and costs. *)
-  val run_so_far : t -> Run.t
-
   (** [store t] is the algorithm's facility store — the shared mutable
       bookkeeping every algorithm maintains. Serving layers read running
       costs and newly opened facilities off it in O(1) per request
@@ -67,16 +54,7 @@ end
 
 type packed = (module ALGO)
 
-(** Default batch stepping: a left-to-right fold of [step] (explicit loop
-    — [Array.map]'s evaluation order is unspecified and the steps are
-    effectful). *)
-let batch_of_step ~step t reqs =
-  let n = Array.length reqs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (step t reqs.(0)) in
-    for i = 1 to n - 1 do
-      out.(i) <- step t reqs.(i)
-    done;
-    out
-  end
+(** [run_so_far (module A) t] snapshots facilities, services, and costs
+    off [t]'s store, labelled with [A.name]. *)
+let run_so_far (type a) (module A : ALGO with type t = a) (t : a) =
+  Run.of_store ~algorithm:A.name (A.store t)

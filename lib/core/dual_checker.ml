@@ -8,7 +8,7 @@ let gamma ~n_commodities ~n_requests =
      *. Numerics.harmonic (max 1 n_requests))
 
 let corollary8 t =
-  let run = Pd_omflp.run_so_far t in
+  let run = Algo_intf.run_so_far (module Pd_omflp) t in
   let cost = Run.total_cost run in
   let duals = Pd_omflp.dual_objective t in
   if Numerics.approx_le ~tol:1e-6 cost (3.0 *. duals) then Ok ()

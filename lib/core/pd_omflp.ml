@@ -623,25 +623,6 @@ let step t (r : Request.t) =
   Metrics.incr m_requests;
   service
 
-let step_batch t reqs =
-  (* Warm the block's metric rows once up front; each step (and its
-     history recompute) then hits the memoized rows. Decisions are
-     identical to stepping one by one — the rows are pure. *)
-  Array.iter
-    (fun (r : Request.t) -> ignore (Finite_metric.row t.metric r.site))
-    reqs;
-  let n = Array.length reqs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (step t reqs.(0)) in
-    for i = 1 to n - 1 do
-      out.(i) <- step t reqs.(i)
-    done;
-    out
-  end
-
-let run_so_far t = Run.of_store ~algorithm:name t.store
-
 let dual_records t =
   let acc = ref [] in
   for j = t.n_past - 1 downto 0 do

@@ -34,12 +34,6 @@ val create_incremental : ?seed:int -> Omflp_instance.Problem_env.t -> t
 
 val step : t -> Omflp_instance.Request.t -> Service.t
 
-(** Sequentially equivalent to folding {!step}; warms the block's metric
-    rows once up front. See {!Algo_intf.ALGO.step_batch}. *)
-val step_batch : t -> Omflp_instance.Request.t array -> Service.t array
-
-val run_so_far : t -> Run.t
-
 (** {1 Snapshot / restore}
 
     See {!Algo_intf.ALGO}: byte-identical continuation. One blob format

@@ -7,10 +7,6 @@ let create ?seed env = Pd_omflp.create_incremental ?seed env
 
 let step = Pd_omflp.step
 
-let step_batch = Pd_omflp.step_batch
-
-let run_so_far t = Run.of_store ~algorithm:name (Pd_omflp.store t)
-
 let store = Pd_omflp.store
 
 let snapshot = Pd_omflp.snapshot

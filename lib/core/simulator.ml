@@ -107,11 +107,8 @@ let run ?seed ?(check = true) (module A : Algo_intf.ALGO)
   let observing = Metrics.enabled () || Trace_sink.installed () in
   let result =
     if not observing then begin
-      (* Unobserved runs take the batch entry point: decisions are
-         identical to the step-by-step fold (the ALGO contract), and
-         algorithms get to amortize pure per-request setup. *)
-      ignore (A.step_batch t inst.requests);
-      A.run_so_far t
+      Array.iter (fun r -> ignore (A.step t r)) inst.requests;
+      Algo_intf.run_so_far (module A) t
     end
     else begin
       let latencies = Array.make (Array.length inst.requests) 0.0 in
@@ -142,7 +139,10 @@ let run ?seed ?(check = true) (module A : Algo_intf.ALGO)
               ("latency_s", Trace_sink.Float dt);
             ])
         inst.requests;
-      { (A.run_so_far t) with Run.step_seconds = latencies }
+      {
+        (Algo_intf.run_so_far (module A) t) with
+        Run.step_seconds = latencies;
+      }
     end
   in
   if check then begin
@@ -152,16 +152,7 @@ let run ?seed ?(check = true) (module A : Algo_intf.ALGO)
   end;
   result
 
-let run_many ?seed ?(check = true) algos (inst : Instance.t) =
-  (* All algorithms share the instance's metric, so the distance rows of
-     the request sites — the rows every step loop reads — are forced
-     once here and served from cache for the whole table, instead of
-     each run paying the first-touch materialization. *)
-  Array.iter
-    (fun (r : Request.t) ->
-      ignore (Omflp_metric.Finite_metric.row inst.metric r.site))
-    inst.requests;
-  List.map (fun (name, algo) -> (name, run ?seed ~check algo inst)) algos
-
 let run_all ?seed inst =
-  run_many ?seed (Registry.canonical_for (Instance.family inst)) inst
+  List.map
+    (fun (name, algo) -> (name, run ?seed algo inst))
+    (Registry.canonical_for (Instance.family inst))

@@ -17,19 +17,7 @@ val run :
   Omflp_instance.Instance.t ->
   Run.t
 
-(** [run_many ?seed ?check algos instance] runs an algorithm table on
-    one instance, amortizing shared per-instance setup (the lazily
-    generated metric rows of the request sites are materialized once for
-    the whole table). Decisions are identical to running each algorithm
-    through {!run} individually. *)
-val run_many :
-  ?seed:int ->
-  ?check:bool ->
-  (string * (module Algo_intf.ALGO)) list ->
-  Omflp_instance.Instance.t ->
-  (string * Run.t) list
-
-(** [run_all ?seed instance] runs every registered algorithm
-    (via {!run_many}). *)
+(** [run_all ?seed instance] runs every canonical algorithm of the
+    instance's family through {!run}. *)
 val run_all :
   ?seed:int -> Omflp_instance.Instance.t -> (string * Run.t) list

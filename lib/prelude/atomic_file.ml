@@ -1,5 +1,5 @@
 (* Crash-safe file replacement: write into a temporary file in the same
-   directory, fsync-flush, then rename over the destination. POSIX rename
+   directory, flush, then rename over the destination. POSIX rename
    within one directory is atomic, so readers see either the old complete
    file or the new complete file — never a torn prefix. *)
 

@@ -87,13 +87,19 @@ let listen addr =
      | e -> raise e));
   fd
 
+(* Request and decision lines are small writes answered by the peer:
+   with Nagle's algorithm on, a write waiting for an ACK that the peer
+   delays costs ~40 ms. Both ends of a TCP stream turn it off. *)
+let setup_stream addr fd =
+  match addr with
+  | Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+  | Unix_sock _ -> ()
+
 let connect_addr addr =
   let fd = socket_for addr in
   try
     Unix.connect fd (sockaddr addr);
-    (match addr with
-    | Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
-    | Unix_sock _ -> ());
+    setup_stream addr fd;
     fd
   with e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -16,8 +16,13 @@ val pp_addr : addr -> string
     named [Failure]. TCP listeners set [SO_REUSEADDR]. *)
 val listen : addr -> Unix.file_descr
 
-(** [connect s] parses [s] and connects a client socket ([TCP_NODELAY]
-    on TCP). Raises [Failure] with a named message on bad addresses or
+(** [setup_stream addr fd] sets the per-connection socket options on a
+    connected stream [fd] of [addr], accepted or connected:
+    [TCP_NODELAY] on TCP, nothing on Unix-domain sockets. *)
+val setup_stream : addr -> Unix.file_descr -> unit
+
+(** [connect s] parses [s] and connects a client socket (set up by
+    {!setup_stream}). Raises [Failure] with a named message on bad addresses or
     connection errors. *)
 val connect : string -> Unix.file_descr
 

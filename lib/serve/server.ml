@@ -321,6 +321,8 @@ let rec accept_loop t =
         (try Unix.close fd with Unix.Unix_error _ -> ());
         ())
       else begin
+        (* Nagle off on TCP; a failure costs latency, not the stream. *)
+        (try Listener.setup_stream t.addr fd with Unix.Unix_error _ -> ());
         Metrics.incr accepted_c;
         Mutex.lock t.m;
         t.n_conns <- t.n_conns + 1;

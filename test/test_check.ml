@@ -11,25 +11,31 @@ open Omflp_check
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* The mutant: behaves exactly like INDEP but under-reports its
-   construction cost by half. [Simulator.validate] recomputes costs from
-   the decisions, so every instance with a positive cost exposes it. *)
+(* The mutant: behaves exactly like INDEP, but after each step it also
+   opens a facility at the request site offering the request's demand σ
+   and pays only half of its true cost f^σ_m. [Simulator.validate] checks
+   every opening against the cost function, so every instance with a
+   positive cost exposes it. *)
 module Broken_cost : Algo_intf.ALGO = struct
   type t = Indep_baseline.t
 
   let name = "BROKEN-COST"
   let family = Indep_baseline.family
   let create = Indep_baseline.create
-  let step = Indep_baseline.step
-  let step_batch = Indep_baseline.step_batch
 
-  let run_so_far t =
-    let run = Indep_baseline.run_so_far t in
-    {
-      run with
-      Run.algorithm = name;
-      construction_cost = run.Run.construction_cost *. 0.5;
-    }
+  let step t (r : Request.t) =
+    let service = Indep_baseline.step t r in
+    let store = Indep_baseline.store t in
+    let cost =
+      Omflp_commodity.Cost_function.eval
+        (Problem_env.cost (Facility_store.env store))
+        r.site r.demand
+    in
+    ignore
+      (Facility_store.open_facility store ~site:r.site
+         ~kind:(Facility.Custom r.demand) ~cost:(0.5 *. cost)
+         ~opened_at:(List.length (Facility_store.services store) - 1));
+    service
 
   let store = Indep_baseline.store
   let snapshot = Indep_baseline.snapshot
@@ -42,9 +48,9 @@ let with_pool f =
   let pool = Pool.create ~jobs:2 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-(* Scenario 0 of this seed must have a positive construction cost for the
-   mutant to be caught there; any seed works because INDEP always opens a
-   facility for the first request and all generated costs are positive. *)
+(* Scenario 0 of this seed must have a positive f^σ_m at its first
+   request for the mutant to be caught there; any seed works because all
+   generated costs are positive. *)
 let seed = 2024
 
 let test_honest_algorithms_pass () =
@@ -89,8 +95,8 @@ let test_mutant_is_caught () =
         && f.violation.Oracle.check = "feasible")
       report.Check_engine.findings
   in
-  (* The counterexample was shrunk to something minimal: INDEP's cost is
-     already positive after one request, so one request suffices. *)
+  (* The counterexample was shrunk to something minimal: the mutant
+     underpays on the very first request, so one request suffices. *)
   let shrunk = Option.get f.instance in
   check_bool "shrinking made progress" true (f.shrink_steps > 0);
   check_int "shrunk to a single request" 1
@@ -160,8 +166,6 @@ let test_oracle_reports_instead_of_raising () =
           (Omflp_commodity.Cost_function.n_commodities (Problem_env.cost env))
 
     let step _ _ = failwith "boom"
-    let step_batch t reqs = Algo_intf.batch_of_step ~step t reqs
-    let run_so_far _ = Alcotest.fail "unreachable"
     let store t = t
     let snapshot _ = failwith "CRASHER has no snapshot"
     let restore _ _ = failwith "CRASHER has no restore"

@@ -197,6 +197,37 @@ let prop_store_distances =
 
 (* ---------- Registry ---------- *)
 
+(* Table-driven over the registry: every entry reports under its key,
+   both as [A.name] and in the run derived from its store. PD-OMFLP-FAST
+   shares PD-OMFLP's store but must label runs with its own name. *)
+let test_registry_names () =
+  let metric = Finite_metric.line [| 0.0; 1.0 |] in
+  let cost =
+    Cost_function.linear ~n_commodities:2 ~n_sites:2 ~per_commodity:1.0
+  in
+  let env = function
+    | Problem_env.Family.Omflp -> Problem_env.omflp metric cost
+    | Nonmetric_fl ->
+        Problem_env.nonmetric
+          ~conn:[| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |]
+          metric cost
+    | Multi_facility_leasing ->
+        Problem_env.leasing ~durations:[| 1; 4 |] ~factors:[| 1.0; 3.0 |]
+          metric cost
+  in
+  let request =
+    Request.make ~site:0 ~demand:(Cset.singleton ~n_commodities:2 0)
+  in
+  List.iter
+    (fun (key, (module A : Algo_intf.ALGO)) ->
+      let t = A.create ~seed:0 (env A.family) in
+      ignore (A.step t request);
+      let run = Algo_intf.run_so_far (module A) t in
+      Alcotest.(check (pair string string))
+        (key ^ ": A.name, Run.algorithm")
+        (key, key) (A.name, run.Run.algorithm))
+    (Registry.extended ())
+
 let test_registry () =
   check_int "five canonical algorithms" 5 (List.length (Registry.all ()));
   check_int "eleven with extensions" 11 (List.length (Registry.extended ()));
@@ -366,7 +397,11 @@ let () =
           Alcotest.test_case "service accounting" `Quick test_store_service_accounting;
           QCheck_alcotest.to_alcotest prop_store_distances;
         ] );
-      ("registry", [ Alcotest.test_case "registry" `Quick test_registry ]);
+      ( "registry",
+        [
+          Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "names agree" `Quick test_registry_names;
+        ] );
       ( "simulator",
         [
           Alcotest.test_case "accepts good runs" `Quick test_validate_accepts_good_run;

@@ -5,7 +5,6 @@
      they replaced;
    - the incremental Nearest_index agrees with a naive full scan over
      the open-facility list (the code it replaced);
-   - Simulator.run_many equals per-algorithm Simulator.run;
    - the golden run digests (test/golden/run_digests.txt) still hold:
      byte-identical decisions for every registered algorithm;
    - PD-OMFLP's decisions on two large instances, and a snapshot taken
@@ -192,31 +191,6 @@ let prop_index_equals_scan =
       done;
       !ok)
 
-(* ---------- run_many = run ---------- *)
-
-let test_run_many_equals_run () =
-  let rng = Splitmix.of_int 0xcafe in
-  let inst =
-    Generators.clustered rng ~clusters:3 ~per_cluster:4 ~n_requests:30
-      ~n_commodities:6 ~side:100.0 ~spread:2.0
-      ~cost:(fun ~n_commodities ~n_sites ->
-        Omflp_commodity.Cost_function.power_law ~n_commodities ~n_sites ~x:1.0)
-  in
-  let algos =
-    Omflp_core.Registry.of_family (Omflp_instance.Instance.family inst)
-  in
-  let batched = Omflp_core.Simulator.run_many ~seed:11 algos inst in
-  check_int "one run per algorithm" (List.length algos) (List.length batched);
-  List.iter2
-    (fun (name, (module A : Omflp_core.Algo_intf.ALGO)) (name', batch) ->
-      Alcotest.(check string) "order preserved" name name';
-      let solo = Omflp_core.Simulator.run ~seed:11 (module A) inst in
-      Alcotest.(check string)
-        (name ^ " digest")
-        (Omflp_check.Oracle.run_digest solo)
-        (Omflp_check.Oracle.run_digest batch))
-    algos batched
-
 (* ---------- golden digests: the decision-invariance pin ---------- *)
 
 (* Every (scenario, algorithm) digest in test/golden/run_digests.txt must
@@ -307,7 +281,7 @@ let run_md5 run = md5 (Omflp_check.Oracle.run_digest run)
 let stream_md5 (module A : Omflp_core.Algo_intf.ALGO) inst =
   let t = A.create (Instance.env inst) in
   Array.iter (fun r -> ignore (A.step t r)) inst.Instance.requests;
-  run_md5 (A.run_so_far t)
+  run_md5 (Omflp_core.Algo_intf.run_so_far (module A) t)
 
 let pd_fast = (module Omflp_core.Pd_omflp_fast : Omflp_core.Algo_intf.ALGO)
 let pd = (module Omflp_core.Pd_omflp : Omflp_core.Algo_intf.ALGO)
@@ -346,7 +320,8 @@ let test_large_resume () =
   Array.iteri (fun i r -> if i >= cut then ignore (A.step t' r))
     inst.Instance.requests;
   Alcotest.(check string) "resumed = uninterrupted"
-    "c31ccaa190d616c89e89fa2a082b3c1a" (run_md5 (A.run_so_far t'))
+    "c31ccaa190d616c89e89fa2a082b3c1a"
+    (run_md5 (Omflp_core.Algo_intf.run_so_far (module A) t'))
 
 let () =
   Alcotest.run "hotpath"
@@ -366,8 +341,6 @@ let () =
         ] );
       ( "nearest_index",
         [ QCheck_alcotest.to_alcotest prop_index_equals_scan ] );
-      ( "simulator",
-        [ Alcotest.test_case "run_many = run" `Quick test_run_many_equals_run ] );
       ( "golden",
         [
           Alcotest.test_case "run digests pinned" `Slow test_golden_digests;

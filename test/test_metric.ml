@@ -209,135 +209,6 @@ let prop_generators_metric =
           | Error _ -> false))
     gen_metric_cases
 
-(* ---------- Tree_metric ---------- *)
-
-let test_tree_path () =
-  (* Path 0 -1- 1 -2- 2 -3- 3 *)
-  let t = Tree_metric.create 4 in
-  Tree_metric.add_edge t 0 1 1.0;
-  Tree_metric.add_edge t 1 2 2.0;
-  Tree_metric.add_edge t 2 3 3.0;
-  Tree_metric.finalize t;
-  check_float "0-3" 6.0 (Tree_metric.dist t 0 3);
-  check_float "1-3" 5.0 (Tree_metric.dist t 1 3);
-  check_float "self" 0.0 (Tree_metric.dist t 2 2)
-
-let test_tree_star () =
-  let t = Tree_metric.create 5 in
-  for leaf = 1 to 4 do
-    Tree_metric.add_edge t 0 leaf (float_of_int leaf)
-  done;
-  Tree_metric.finalize t;
-  check_float "across star" 7.0 (Tree_metric.dist t 3 4);
-  check_float "to centre" 2.0 (Tree_metric.dist t 0 2)
-
-let test_tree_validation () =
-  let t = Tree_metric.create 3 in
-  Tree_metric.add_edge t 0 1 1.0;
-  Alcotest.check_raises "cycle"
-    (Invalid_argument "Tree_metric.add_edge: edge closes a cycle") (fun () ->
-      Tree_metric.add_edge t 1 0 1.0);
-  Alcotest.check_raises "not spanning"
-    (Invalid_argument "Tree_metric.finalize: tree is not spanning") (fun () ->
-      Tree_metric.finalize t);
-  Alcotest.check_raises "dist before finalize" (Failure "Tree_metric.dist: finalize first")
-    (fun () -> ignore (Tree_metric.dist t 0 1))
-
-let tree_brute_dist adj n u v =
-  (* BFS accumulating weights. *)
-  let dist = Array.make n infinity in
-  dist.(u) <- 0.0;
-  let q = Queue.create () in
-  Queue.push u q;
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    List.iter
-      (fun (y, w) ->
-        if dist.(y) = infinity then begin
-          dist.(y) <- dist.(x) +. w;
-          Queue.push y q
-        end)
-      adj.(x)
-  done;
-  dist.(v)
-
-let prop_tree_dist_matches_bfs =
-  QCheck.Test.make ~name:"tree LCA distances = BFS" ~count:60 QCheck.small_int
-    (fun seed ->
-      let rng = Splitmix.of_int seed in
-      let n = 2 + Splitmix.int rng 20 in
-      let t = Tree_metric.random_tree rng ~n ~max_weight:5.0 in
-      (* Rebuild adjacency with another random tree of the same seed for a
-         brute-force check: recreate deterministically instead. *)
-      let rng2 = Splitmix.of_int seed in
-      let n2 = 2 + Splitmix.int rng2 20 in
-      assert (n2 = n);
-      let adj = Array.make n [] in
-      for v = 1 to n - 1 do
-        let parent = Splitmix.int rng2 v in
-        let w =
-          Sampler.uniform_float rng2 ~lo:(5.0 /. 100.0) ~hi:5.0
-        in
-        adj.(v) <- (parent, w) :: adj.(v);
-        adj.(parent) <- (v, w) :: adj.(parent)
-      done;
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if Float.abs (Tree_metric.dist t u v -. tree_brute_dist adj n u v) > 1e-6
-          then ok := false
-        done
-      done;
-      !ok)
-
-let prop_tree_metric_valid =
-  QCheck.Test.make ~name:"tree metric satisfies triangle inequality" ~count:40
-    QCheck.small_int (fun seed ->
-      let rng = Splitmix.of_int seed in
-      let n = 2 + Splitmix.int rng 15 in
-      let t = Tree_metric.random_tree rng ~n ~max_weight:4.0 in
-      match Finite_metric.check_triangle (Tree_metric.to_metric t) with
-      | Ok () -> true
-      | Error _ -> false)
-
-let prop_hst_dominates =
-  QCheck.Test.make ~name:"HST dominates the base metric and is a metric"
-    ~count:40 QCheck.small_int (fun seed ->
-      let rng = Splitmix.of_int seed in
-      let n = 2 + Splitmix.int rng 10 in
-      let base = Metric_gen.random_euclidean rng ~n ~side:20.0 in
-      let hst = Tree_metric.hst_of_metric rng base in
-      let dominated = ref true in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if Finite_metric.dist hst u v < Finite_metric.dist base u v -. 1e-9
-          then dominated := false
-        done
-      done;
-      !dominated
-      && (match Finite_metric.check_triangle hst with Ok () -> true | Error _ -> false))
-
-let test_hst_single_point () =
-  let rng = Splitmix.of_int 1 in
-  let hst = Tree_metric.hst_of_metric rng (Finite_metric.single_point ()) in
-  check_int "one point" 1 (Finite_metric.size hst)
-
-let test_hst_duplicate_points () =
-  (* Co-located points must stay at distance 0 in the HST (they never
-     separate), and distinct ones must still dominate. *)
-  let rng = Splitmix.of_int 2 in
-  let base = Finite_metric.line [| 0.0; 0.0; 5.0 |] in
-  let hst = Tree_metric.hst_of_metric rng base in
-  check_float "duplicates stay together" 0.0 (Finite_metric.dist hst 0 1);
-  check_bool "separated pair dominates" true
-    (Finite_metric.dist hst 0 2 >= 5.0 -. 1e-9)
-
-let test_hst_all_identical () =
-  let rng = Splitmix.of_int 3 in
-  let base = Finite_metric.uniform 4 ~d:0.0 in
-  let hst = Tree_metric.hst_of_metric rng base in
-  check_float "all zero" 0.0 (Finite_metric.diameter hst)
-
 let test_perturbed_validation () =
   let rng = Splitmix.of_int 1 in
   Alcotest.check_raises "jitter > base"
@@ -372,16 +243,4 @@ let () =
       ( "metric_gen",
         Alcotest.test_case "perturbed validation" `Quick test_perturbed_validation
         :: List.map QCheck_alcotest.to_alcotest prop_generators_metric );
-      ( "tree_metric",
-        [
-          Alcotest.test_case "path" `Quick test_tree_path;
-          Alcotest.test_case "star" `Quick test_tree_star;
-          Alcotest.test_case "validation" `Quick test_tree_validation;
-          Alcotest.test_case "hst single point" `Quick test_hst_single_point;
-          Alcotest.test_case "hst duplicate points" `Quick test_hst_duplicate_points;
-          Alcotest.test_case "hst all identical" `Quick test_hst_all_identical;
-          QCheck_alcotest.to_alcotest prop_tree_dist_matches_bfs;
-          QCheck_alcotest.to_alcotest prop_tree_metric_valid;
-          QCheck_alcotest.to_alcotest prop_hst_dominates;
-        ] );
     ]

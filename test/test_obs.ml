@@ -397,7 +397,7 @@ let counters_vs_trace create =
         (Metrics.value (Metrics.counter "pd.requests"));
       (* Openings counted = confirmed facilities (tentative small
          facilities discarded by a large opening are trace-only). *)
-      let run = Pd_omflp.run_so_far t in
+      let run = Algo_intf.run_so_far (module Pd_omflp) t in
       check_int "facilities_opened = store"
         (List.length run.Run.facilities)
         (Metrics.value (Metrics.counter "pd.facilities_opened")))

@@ -13,6 +13,8 @@ let run_pd inst =
   Array.iter (fun r -> ignore (Pd_omflp.step t r)) inst.Instance.requests;
   t
 
+let pd_run t = Algo_intf.run_so_far (module Pd_omflp) t
+
 (* ---------- Closed-form behaviour on hand instances ---------- *)
 
 let test_single_request_single_site () =
@@ -24,7 +26,7 @@ let test_single_request_single_site () =
       ~requests:[| Request.make ~site:0 ~demand:(Cset.singleton ~n_commodities:2 0) |]
   in
   let t = run_pd inst in
-  let run = Pd_omflp.run_so_far t in
+  let run = pd_run t in
   check_float 1e-9 "construction" 3.0 run.Run.construction_cost;
   check_float 1e-9 "assignment" 0.0 run.Run.assignment_cost;
   check_int "one small facility" 1 (Run.n_small run)
@@ -35,7 +37,7 @@ let test_second_request_connects () =
   let cost = Cost_function.linear ~n_commodities:2 ~n_sites:1 ~per_commodity:3.0 in
   let r = Request.make ~site:0 ~demand:(Cset.singleton ~n_commodities:2 0) in
   let inst = Instance.make ~name:"two" ~metric ~cost ~requests:[| r; r |] in
-  let run = Pd_omflp.run_so_far (run_pd inst) in
+  let run = pd_run (run_pd inst) in
   check_float 1e-9 "total" 3.0 (Run.total_cost run);
   check_int "one facility" 1 (List.length run.Run.facilities)
 
@@ -48,7 +50,7 @@ let test_large_facility_on_joint_demand () =
     Instance.make ~name:"joint" ~metric ~cost
       ~requests:[| Request.make ~site:0 ~demand:(Cset.full ~n_commodities:4) |]
   in
-  let run = Pd_omflp.run_so_far (run_pd inst) in
+  let run = pd_run (run_pd inst) in
   check_int "one large facility" 1 (Run.n_large run);
   check_int "no small facilities" 0 (Run.n_small run);
   check_float 1e-9 "total" 2.0 (Run.total_cost run)
@@ -61,7 +63,7 @@ let test_theorem2_full_regime_cost () =
     Generators.single_point_adversary rng ~n_commodities
       ~cost:Cost_function.theorem2 ~n_requested:n_commodities
   in
-  let run = Pd_omflp.run_so_far (run_pd inst) in
+  let run = pd_run (run_pd inst) in
   check_int "exactly one large" 1 (Run.n_large run);
   check_int "sqrt|S| smalls" 8 (Run.n_small run);
   check_float 1e-9 "cost 2*OPT" 16.0 (Run.total_cost run)
@@ -80,7 +82,7 @@ let test_distance_matters () =
     Instance.make ~name:"dist" ~metric ~cost
       ~requests:[| Request.make ~site:0 ~demand:(Cset.singleton ~n_commodities:1 0) |]
   in
-  let run = Pd_omflp.run_so_far (run_pd inst) in
+  let run = pd_run (run_pd inst) in
   (match run.Run.facilities with
   | [ f ] -> check_int "opens own site" 0 f.Facility.site
   | _ -> Alcotest.fail "expected exactly one facility");
@@ -94,8 +96,8 @@ let test_determinism () =
       ~cost:(fun ~n_commodities ~n_sites ->
         Cost_function.power_law ~n_commodities ~n_sites ~x:1.0)
   in
-  let c1 = Run.total_cost (Pd_omflp.run_so_far (run_pd inst)) in
-  let c2 = Run.total_cost (Pd_omflp.run_so_far (run_pd inst)) in
+  let c1 = Run.total_cost (pd_run (run_pd inst)) in
+  let c2 = Run.total_cost (pd_run (run_pd inst)) in
   check_float 1e-12 "deterministic" c1 c2
 
 let test_dual_records_shape () =
@@ -230,7 +232,7 @@ let prop_competitive_against_exact_opt =
           let bound =
             15.0 *. sqrt 3.0 *. Numerics.harmonic 5 *. opt
           in
-          Run.total_cost (Pd_omflp.run_so_far t) <= bound +. 1e-6
+          Run.total_cost (pd_run t) <= bound +. 1e-6
       | None -> true)
 
 let test_trace_theorem2 () =

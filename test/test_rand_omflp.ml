@@ -148,7 +148,7 @@ let small_flip_frequency ~n_commodities ~reps =
   for seed = 0 to reps - 1 do
     let t = Rand_omflp.create ~seed (Problem_env.omflp metric cost) in
     ignore (Rand_omflp.step t r);
-    let run = Rand_omflp.run_so_far t in
+    let run = Algo_intf.run_so_far (module Rand_omflp) t in
     Alcotest.(check int) "large facility always built" 1 (Run.n_large run);
     smalls := !smalls + Run.n_small run
   done;

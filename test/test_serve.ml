@@ -79,7 +79,7 @@ let test_kill_at_every_step () =
           let straight =
             let t = A.create ~seed (Instance.env inst) in
             Array.iter (fun r -> ignore (A.step t r)) inst.Instance.requests;
-            Omflp_check.Oracle.run_digest (A.run_so_far t)
+            Omflp_check.Oracle.run_digest (Algo_intf.run_so_far (module A) t)
           in
           (match Hashtbl.find_opt golden (index, name) with
           | Some md5 ->
@@ -98,7 +98,9 @@ let test_kill_at_every_step () =
             for i = k to n - 1 do
               ignore (A.step t' inst.Instance.requests.(i))
             done;
-            let resumed = Omflp_check.Oracle.run_digest (A.run_so_far t') in
+            let resumed =
+              Omflp_check.Oracle.run_digest (Algo_intf.run_so_far (module A) t')
+            in
             if resumed <> straight then
               Alcotest.failf
                 "%s, scenario %d: kill/restore after request %d diverges \
@@ -152,7 +154,8 @@ let test_snapshot_fixture_cross_version () =
       done;
       let digest =
         Digest.to_hex
-          (Digest.string (Omflp_check.Oracle.run_digest (A.run_so_far t')))
+          (Digest.string
+             (Omflp_check.Oracle.run_digest (Algo_intf.run_so_far (module A) t')))
       in
       match Hashtbl.find_opt golden (index, name) with
       | Some md5 ->
@@ -929,6 +932,27 @@ let test_cross_family_restore_refused () =
     | _ -> false
     | exception Failure msg -> contains ~sub:"family mismatch" msg)
 
+(* Both ends of a TCP stream disable Nagle: the accepted side is set up
+   by the same [Listener.setup_stream] the client's connect uses. *)
+let test_accepted_tcp_nodelay () =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close lfd) @@ fun () ->
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "TCP listener has a Unix address"
+  in
+  let addr = Listener.Tcp (Unix.inet_addr_loopback, port) in
+  let cfd = Listener.connect_addr addr in
+  Fun.protect ~finally:(fun () -> Unix.close cfd) @@ fun () ->
+  check_bool "client side" true (Unix.getsockopt cfd Unix.TCP_NODELAY);
+  let afd, _ = Unix.accept ~cloexec:true lfd in
+  Fun.protect ~finally:(fun () -> Unix.close afd) @@ fun () ->
+  Listener.setup_stream addr afd;
+  check_bool "accepted side" true (Unix.getsockopt afd Unix.TCP_NODELAY)
+
 let () =
   Alcotest.run "serve"
     [
@@ -981,6 +1005,8 @@ let () =
             `Quick test_server_multi_client_byte_identical;
           Alcotest.test_case "admission control" `Quick
             test_server_admission_control;
+          Alcotest.test_case "accepted TCP stream sets TCP_NODELAY" `Quick
+            test_accepted_tcp_nodelay;
           Alcotest.test_case "SIGKILL mid-stream, resume by handshake" `Slow
             test_server_sigkill_resume;
         ] );
